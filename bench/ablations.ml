@@ -57,7 +57,6 @@ let placement_ablation () =
     let m = Bert.ir_module w in
     let m, _ = Nimble.optimize ~options:{ Nimble.default_options with Nimble.target_device = 1; device_placement = false } m in
     ignore (Nimble_passes.Device_place.run ~cache_copies m);
-    let m = Nimble_passes.Dce.run m in
     let exe = Nimble_compiler.Emitter.emit_module m in
     let vm = Nimble.vm exe in
     ignore (Nimble_vm.Interp.invoke vm [ Nimble_vm.Obj.tensor x ]);

@@ -39,7 +39,7 @@ let build_module () =
    dominant extent (21 ≡ 5 mod 8) starts on the guarded fallback — the
    situation the online tuner exists to fix *)
 let compile_opts =
-  { Nimble.default_options with Nimble.dense_dispatch = Some 2; autotune = true }
+  { Nimble.default_options with Nimble.dense_dispatch = Some 2 }
 
 (* 80% of traffic at the uncovered extent, the rest on covered residues *)
 let hot_rows = 21
@@ -178,8 +178,8 @@ let warm_restart_check ~m exe =
 let run () =
   (* the Cache cold path, inlined so the processed module stays in hand
      for the warm-restart relink below *)
-  let m = build_module () in
-  let compiled = Nimble.compile ~options:compile_opts m in
+  let ((m, _) as processed) = Nimble.optimize ~options:compile_opts (build_module ()) in
+  let compiled, _ = Nimble.emit ~options:compile_opts processed in
   let bytes = Nimble_vm.Serialize.to_bytes compiled in
   let exe = Nimble_analysis.Verifier.of_bytes bytes in
   List.iter (Nimble_vm.Exe.link exe)

@@ -15,8 +15,9 @@ module Serialize = Nimble_vm.Serialize
 
 let () =
   let w = Bert.init_weights Bert.small_config in
-  let m = Bert.ir_module w in
-  let exe = Nimble.compile m in
+  (* keep the processed module: relinking re-emits its kernels by name *)
+  let ((m, _) as processed) = Nimble.optimize (Bert.ir_module w) in
+  let exe, _ = Nimble.emit processed in
   Fmt.pr "BERT (%d layers, hidden %d, %d heads), sequence dimension = Any@."
     w.Bert.config.Bert.num_layers w.Bert.config.Bert.hidden_size
     w.Bert.config.Bert.num_heads;

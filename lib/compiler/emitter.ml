@@ -659,7 +659,8 @@ let emit_module ?(options = default_options) (m : Irmod.t) : Exe.t =
   exe
 
 (** The kernel/shape-function implementations keyed by name, for relinking a
-    deserialized executable. *)
+    deserialized executable; [m] is the module [Nimble.optimize] returned
+    for it. *)
 let link_table ?(options = default_options) (m : Irmod.t) : Exe.packed list =
   let exe = emit_module ~options m in
   Array.to_list exe.Exe.packed

@@ -6,9 +6,10 @@
       let out = Nimble_vm.Interp.run_tensors vm [ input ]
     ]}
 
-    Pipeline: constant folding -> ANF -> type inference (with Any) -> type
-    resolution -> fusion (dynamic policy) -> manifest alloc -> device
-    placement -> memory planning -> DCE -> bytecode emission. *)
+    Pipeline: ANF -> type inference (with Any) -> type resolution ->
+    classification -> fusion (dynamic policy) -> manifest alloc -> device
+    placement -> memory planning -> bytecode emission -> register
+    compaction -> bytecode verification. *)
 
 open Nimble_ir
 open Nimble_passes
@@ -31,19 +32,6 @@ type options = {
   runtime_guards : bool;
       (** emit gradual-typing entry guards: the §4.1 residual checks on
           entry-function tensor parameters, enforced by the VM *)
-  verify_passes : bool;
-      (** run the dialect lints after each lowering pass and the bytecode
-          verifier on the emitted executable (see [docs/ANALYSIS.md]) *)
-  compact_registers : bool;
-      (** run verifier-driven dead-register compaction after emission so
-          frames carry no dead slots ([Nimble_analysis.Compact]) *)
-  autotune : bool;
-      (** serve-time online shape specialization: track hot extents and
-          re-tune live dispatch tables in the background
-          (see [docs/TUNING.md]) *)
-  autotune_threshold : int;
-      (** dispatch count at which an extent counts as hot *)
-  autotune_interval : int;  (** serve batches between hotness scans *)
 }
 
 let default_options =
@@ -57,16 +45,11 @@ let default_options =
     dense_dispatch = Some 8;
     profile_extern = false;
     runtime_guards = true;
-    verify_passes = true;
-    compact_registers = true;
-    autotune = false;
-    autotune_threshold = Nimble_codegen.Autotune.default_config.hot_threshold;
-    autotune_interval = Nimble_codegen.Autotune.default_config.scan_interval;
   }
 
 (** One pipeline stage's contribution to the compile report: wall time and
     the IR-size delta it caused (expression nodes before/after — fusion
-    grows the module, DCE shrinks it, analyses leave it unchanged). *)
+    grows the module, analyses leave it unchanged). *)
 type pass_stat = {
   pass_name : string;
   pass_seconds : float;
@@ -120,7 +103,8 @@ let ir_size (m : Irmod.t) : int =
       acc + Nimble_ir.Expr.size (Nimble_ir.Expr.Fn fn))
     0 (Irmod.functions m)
 
-(** Run the pass pipeline, returning the processed module and a report. *)
+(** Run the pass pipeline on a copy of [m], returning the processed module
+    and a report. *)
 let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
   let passes = ref [] in
   let record name seconds before after =
@@ -130,21 +114,19 @@ let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
   in
   let verify_stats = ref [] in
   let verify_diags = ref [] in
-  (* run one dialect lint (when verification is on), timing it and folding
-     its violations into the report *)
+  (* run one dialect lint, timing it and folding its violations into the
+     report *)
   let lint name check m =
-    if options.verify_passes then begin
-      let t0 = Unix.gettimeofday () in
-      let ds = check m in
-      verify_stats :=
-        {
-          verify_name = name;
-          verify_seconds = Unix.gettimeofday () -. t0;
-          violations = List.length ds;
-        }
-        :: !verify_stats;
-      verify_diags := !verify_diags @ ds
-    end
+    let t0 = Unix.gettimeofday () in
+    let ds = check m in
+    verify_stats :=
+      {
+        verify_name = name;
+        verify_seconds = Unix.gettimeofday () -. t0;
+        violations = List.length ds;
+      }
+      :: !verify_stats;
+    verify_diags := !verify_diags @ ds
   in
   (* time a transform returning a new module *)
   let timed name f m =
@@ -164,12 +146,7 @@ let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
   in
   (* ANF first: it is the only pass that understands builder DAG sharing;
      everything after walks linear let-chains. *)
-  let m = timed "anf" Anf.run m in
-  ignore (timed_stats "inline" (fun m -> Inline.run m) m);
-  let m = timed "anf" Anf.run m in
-  let m = timed "cse" Cse.run m in
-  let m = timed "const_fold" Const_fold.run m in
-  let m = timed "dce" Dce.run m in
+  let m = timed "anf" Anf.run (Irmod.copy m) in
   let infer_result = timed_stats "infer" Nimble_typing.Infer.infer_module m in
   let m =
     timed "type_resolve"
@@ -233,7 +210,6 @@ let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
     end
     else Memory_plan.fresh_stats ()
   in
-  let m = timed "dce" Dce.run m in
   ( m,
     {
       residual_checks = infer_result.Nimble_typing.Infer.residual_checks;
@@ -257,10 +233,10 @@ let optimize ?(options = default_options) (m : Irmod.t) : Irmod.t * report =
       verify_diags = !verify_diags;
     } )
 
-(** Compile a module to a linked VM executable. *)
-let compile_with_report ?(options = default_options) (m : Irmod.t) :
+(** Emit a module {!optimize} returned, then compact and verify the
+    bytecode. *)
+let emit ?(options = default_options) ((m, report) : Irmod.t * report) :
     Nimble_vm.Exe.t * report =
-  let m, report = optimize ~options m in
   let exe =
     Emitter.emit_module
       ~options:
@@ -274,54 +250,36 @@ let compile_with_report ?(options = default_options) (m : Irmod.t) :
   (* dead-register compaction: rename away dead frame slots before the
      verifier sees the final bytecode *)
   let registers_before = Nimble_analysis.Compact.register_count exe in
-  let report =
-    if options.compact_registers then begin
-      let t0 = Unix.gettimeofday () in
-      ignore (Nimble_analysis.Compact.run exe);
-      {
-        report with
-        passes =
-          report.passes
-          @ [
-              {
-                pass_name = "compact_regs";
-                pass_seconds = Unix.gettimeofday () -. t0;
-                nodes_before = registers_before;
-                nodes_after = Nimble_analysis.Compact.register_count exe;
-              };
-            ];
-      }
-    end
-    else report
-  in
+  let t0 = Unix.gettimeofday () in
+  ignore (Nimble_analysis.Compact.run exe);
+  let t1 = Unix.gettimeofday () in
+  let ds = Nimble_analysis.Verifier.verify exe in
+  let t2 = Unix.gettimeofday () in
   let registers_after = Nimble_analysis.Compact.register_count exe in
-  let report =
-    if options.verify_passes then begin
-      let t0 = Unix.gettimeofday () in
-      let ds = Nimble_analysis.Verifier.verify exe in
-      {
-        report with
-        verify =
-          report.verify
-          @ [
-              {
-                verify_name = "bytecode";
-                verify_seconds = Unix.gettimeofday () -. t0;
-                violations = List.length ds;
-              };
-            ];
-        verify_diags = report.verify_diags @ ds;
-      }
-    end
-    else report
-  in
   ( exe,
     {
       report with
       instructions = Nimble_vm.Exe.instruction_count exe;
       registers_before;
       registers_after;
+      passes =
+        report.passes
+        @ [
+            {
+              pass_name = "compact_regs";
+              pass_seconds = t1 -. t0;
+              nodes_before = registers_before;
+              nodes_after = registers_after;
+            };
+          ];
+      verify =
+        report.verify
+        @ [ { verify_name = "bytecode"; verify_seconds = t2 -. t1; violations = List.length ds } ];
+      verify_diags = report.verify_diags @ ds;
     } )
+
+(** Compile a module to a linked VM executable. *)
+let compile_with_report ?options m = emit ?options (optimize ?options m)
 
 let compile ?options m = fst (compile_with_report ?options m)
 
@@ -333,16 +291,13 @@ let run ?options (m : Irmod.t) (inputs : Nimble_vm.Obj.t list) : Nimble_vm.Obj.t
   let exe = compile ?options m in
   Nimble_vm.Interp.invoke (vm exe) inputs
 
-(** Compile for the static executor (fusion only; static models only). *)
+(** Compile a copy of [m] for the static executor (fusion only; static
+    models only). *)
 let compile_static (m : Irmod.t) : Static_exec.t =
-  let m = Anf.run m in
-  let m = Cse.run m in
-  let m = Const_fold.run m in
+  let m = Anf.run (Irmod.copy m) in
   let infer_result = Nimble_typing.Infer.infer_module m in
   let m = Type_resolve.run m infer_result.Nimble_typing.Infer.solver in
-  let m = Fusion.run m in
-  let m = Dce.run m in
-  Static_exec.plan m
+  Static_exec.plan (Fusion.run m)
 
 let pp_report ppf (r : report) =
   Fmt.pf ppf

@@ -4,7 +4,12 @@
       let exe = Nimble.compile my_module in
       let vm = Nimble.vm exe in
       Nimble_vm.Interp.run_tensors vm [ input ]
-    ]} *)
+    ]}
+
+    Pipeline: ANF, type inference with [Any], type resolution,
+    shape-value dominance classification, fusion, manifest allocation,
+    device placement, memory planning, bytecode emission, dead-register
+    compaction, then the bytecode verifier. *)
 
 (** Compilation options. Every switch corresponds to a pass or codegen
     strategy evaluated in the paper; defaults enable everything. *)
@@ -35,26 +40,6 @@ type options = {
           entry functions' tensor parameters — concrete dims, identical-Any
           equalities, dtypes — enforced by the VM at the API boundary and
           surfaced as [Shape_guard] failures (see [docs/ROBUSTNESS.md]) *)
-  verify_passes : bool;
-      (** run the [Nimble_analysis] dialect lints after each lowering pass
-          (fusion policy, memory dialect, device placement) and the
-          bytecode verifier on the emitted executable; violations land in
-          {!report.verify} / {!report.verify_diags}. On by default; see
-          [docs/ANALYSIS.md] *)
-  compact_registers : bool;
-      (** run verifier-driven dead-register compaction after emission
-          ([Nimble_analysis.Compact]) so frames carry no dead slots; the
-          removed-slot delta lands in {!report.registers_before} /
-          {!report.registers_after}. On by default *)
-  autotune : bool;
-      (** serve-time online shape specialization: track hot extents while
-          serving and re-tune live dispatch tables in the background
-          ([Nimble_codegen.Autotune]; see [docs/TUNING.md]). Off by
-          default — it is a serving policy, not a compile pass; the serve
-          layer and CLI read it to decide whether to attach a tuner *)
-  autotune_threshold : int;
-      (** dispatch count at which an extent counts as hot *)
-  autotune_interval : int;  (** serve batches between hotness scans *)
 }
 
 val default_options : options
@@ -62,10 +47,9 @@ val default_options : options
 (** One pipeline stage's contribution to the compile report: its wall time
     and the IR-size delta it caused. IR size is the total expression-node
     count over the module's functions ({!ir_size}) — fusion grows it,
-    DCE/CSE shrink it, pure analyses (inference, inlining stats) leave it
-    unchanged. *)
+    pure analyses (inference, classification) leave it unchanged. *)
 type pass_stat = {
-  pass_name : string;  (** e.g. ["anf"], ["fusion"]; ["dce"] appears twice *)
+  pass_name : string;  (** e.g. ["anf"], ["fusion"]; each pass appears once *)
   pass_seconds : float;  (** wall-clock time of the pass *)
   nodes_before : int;
   nodes_after : int;
@@ -113,11 +97,9 @@ type report = {
           dead-register compaction *)
   registers_after : int;
       (** register slots after compaction; equals [registers_before] when
-          [compact_registers] is off or nothing shrank *)
+          nothing shrank *)
   passes : pass_stat list;  (** per-pass timings and deltas, pipeline order *)
-  verify : verify_stat list;
-      (** per-check verification stats in run order; empty when
-          [verify_passes] is off *)
+  verify : verify_stat list;  (** per-check verification stats, run order *)
   verify_diags : Nimble_analysis.Diag.t list;
       (** every violation the checks found, for diagnostics printing *)
 }
@@ -126,12 +108,24 @@ type report = {
     tracked by {!pass_stat} deltas. *)
 val ir_size : Nimble_ir.Irmod.t -> int
 
-(** Run the pass pipeline only (no bytecode emission): ANF, inlining, CSE,
-    constant folding, DCE, type inference with [Any], fusion, manifest
-    allocation, device placement, memory planning. *)
+(** Run the pass pipeline only (no bytecode emission) on a copy of the
+    module's function table, so the argument can be compiled again (type
+    resolution still refines its shared variable annotations): ANF,
+    type inference with [Any], type resolution, classification, fusion,
+    manifest allocation, device placement, memory planning. The dialect
+    lints run after each lowering pass; their stats land in
+    {!report.verify}. *)
 val optimize : ?options:options -> Nimble_ir.Irmod.t -> Nimble_ir.Irmod.t * report
 
-(** Compile a module to a linked VM executable, with the report. *)
+(** Emit the module {!optimize} returned to a linked VM executable, then
+    run dead-register compaction and the bytecode verifier; the report
+    gains the [compact_regs] pass, the [bytecode] check and the bytecode
+    counts. Keep the processed module to relink a deserialized copy with
+    [Emitter.link_table]: fused kernels are named at compile time. *)
+val emit : ?options:options -> Nimble_ir.Irmod.t * report -> Nimble_vm.Exe.t * report
+
+(** Compile a module to a linked VM executable, with the report:
+    [emit (optimize m)]. *)
 val compile_with_report :
   ?options:options -> Nimble_ir.Irmod.t -> Nimble_vm.Exe.t * report
 
@@ -145,8 +139,8 @@ val vm : Nimble_vm.Exe.t -> Nimble_vm.Interp.t
 val run :
   ?options:options -> Nimble_ir.Irmod.t -> Nimble_vm.Obj.t list -> Nimble_vm.Obj.t
 
-(** Compile for the TVM-style static graph executor (static models only —
-    the Table 4 baseline). *)
+(** Compile a copy of the module for the TVM-style static graph executor
+    (static models only — the Table 4 baseline). *)
 val compile_static : Nimble_ir.Irmod.t -> Static_exec.t
 
 val pp_report : Format.formatter -> report -> unit

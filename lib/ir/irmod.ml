@@ -11,6 +11,11 @@ type t = {
 
 let create () = { funcs = Hashtbl.create 8; adts = Hashtbl.create 4; func_order = [] }
 
+(** A module with its own function and ADT tables over the same function
+    bodies, so passes that replace or add functions leave [t]'s tables as
+    they were. Variable records stay shared, annotations included. *)
+let copy t = { funcs = Hashtbl.copy t.funcs; adts = Hashtbl.copy t.adts; func_order = t.func_order }
+
 let add_func t name fn =
   if not (Hashtbl.mem t.funcs name) then t.func_order <- t.func_order @ [ name ];
   Hashtbl.replace t.funcs name fn

@@ -106,8 +106,8 @@ let load ?options t ~name ~(build : unit -> Nimble_ir.Irmod.t) :
           e.exe
       | None ->
           t.misses <- t.misses + 1;
-          let m = build () in
-          let compiled = Nimble.compile ?options m in
+          let ((m, _) as processed) = Nimble.optimize ?options (build ()) in
+          let compiled, _ = Nimble.emit ?options processed in
           (* the deployment round trip: portable bytes, then relink the
              platform kernels by name (with the same codegen options, so
              relinked dispatch tables match the compiled ones) *)

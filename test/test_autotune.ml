@@ -347,8 +347,8 @@ let test_verifier_rejects_bad_tunes () =
 let test_warm_restart_pretuned () =
   (* cold path: compile, serialize, verify, link — keeping the processed
      module in hand, since kernel names are baked into the artifact *)
-  let m = make_module shared_w in
-  let compiled = Nimble.compile ~options:sparse_opts m in
+  let ((m, _) as processed) = Nimble.optimize ~options:sparse_opts (make_module shared_w) in
+  let compiled, _ = Nimble.emit ~options:sparse_opts processed in
   let exe = Verifier.of_bytes (Serialize.to_bytes compiled) in
   List.iter (Exe.link exe) (Emitter.link_table ~options:link_options m);
   Alcotest.(check int) "no decisions yet" 0 (Serve.Cache.persist_tunes exe);
@@ -388,8 +388,10 @@ let test_warm_restart_pretuned () =
 (* ------------------------ register compaction ------------------------ *)
 
 let test_compact_registers () =
-  let loose = { sparse_opts with Nimble.compact_registers = false } in
-  let exe = Nimble.compile ~options:loose (make_module shared_w) in
+  (* uncompacted control: the optimized module emitted without the
+     compaction step [compile_with_report] runs after emission *)
+  let optimized, _ = Nimble.optimize ~options:sparse_opts (make_module shared_w) in
+  let exe = Emitter.emit_module ~options:link_options optimized in
   let x = Tensor.randn rng [| 9; feature_dim |] in
   let reference = Interp.run_tensors (Interp.create exe) [ x ] in
   let before = Compact.register_count exe in

@@ -212,6 +212,252 @@ let test_closure () =
   Alcotest.check tensor_eq "closure capture" (Ops_elem.add xv xv)
     (Interp.run_tensors vm [ xv ])
 
+(* --- a helper global called twice: Invoke of a non-recursive function --- *)
+let helper_module () =
+  let m = Irmod.create () in
+  let a = Expr.fresh_var ~ty:(static_ty [ 4 ]) "a" in
+  Irmod.add_func m "double" (Expr.fn_def [ a ] (Expr.op_call "add" [ Expr.Var a; Expr.Var a ]));
+  let x = Expr.fresh_var ~ty:(static_ty [ 4 ]) "x" in
+  Irmod.add_func m "main"
+    (Expr.fn_def [ x ]
+       (Expr.call (Expr.Global "double")
+          [ Expr.call (Expr.Global "double") [ Expr.Var x ] ]));
+  m
+
+let test_helper_global () =
+  let input = Tensor.randn rng [| 4 |] in
+  let out = Interp.run_tensors (Nimble.vm (Nimble.compile (helper_module ()))) [ input ] in
+  Alcotest.check tensor_eq "4x" (Ops_elem.mul_scalar input 4.0) out
+
+(* --- compiling the same module twice ------------------------------------ *)
+
+(* every zoo model's module with one input for it *)
+let zoo_cases () : (string * Irmod.t * Obj.t) list =
+  let open Nimble_models in
+  let seq xs =
+    let adt = Adt.tensor_list ~elem_ty:(dyn_ty [ Dim.static 1; Dim.Any ]) in
+    let nil = Adt.ctor_exn adt "Nil" and cons = Adt.ctor_exn adt "Cons" in
+    List.fold_right
+      (fun x acc -> Obj.Adt { tag = cons.Adt.tag; fields = [| Obj.tensor x; acc |] })
+      xs
+      (Obj.Adt { tag = nil.Adt.tag; fields = [||] })
+  in
+  let lstm = Lstm.init_weights Lstm.small_config in
+  let gru = Gru.init_weights Gru.small_config in
+  let tree = Tree_lstm.init_weights Tree_lstm.small_config in
+  let s2s = Seq2seq.init_weights Seq2seq.default_config in
+  let dec = Decoder.init_weights Decoder.default_config in
+  let pe = Posenc.init_weights Posenc.default_config in
+  let bert = Bert.init_weights Bert.small_config in
+  let leaf, node = Tree_lstm.ctors tree in
+  let tree_leaf () =
+    Obj.Adt
+      {
+        tag = leaf.Adt.tag;
+        fields = [| Obj.tensor (Tensor.randn rng [| 1; tree.Tree_lstm.config.Tree_lstm.input_size |]) |];
+      }
+  in
+  [
+    ("lstm", Lstm.ir_module lstm, seq (Lstm.random_sequence lstm.Lstm.config ~len:5));
+    ("gru", Gru.ir_module gru, seq (Gru.random_sequence gru.Gru.config ~len:5));
+    ( "treelstm",
+      Tree_lstm.ir_module tree,
+      Obj.Adt { tag = node.Adt.tag; fields = [| tree_leaf (); tree_leaf () |] } );
+    ("seq2seq", Seq2seq.ir_module s2s, seq (Seq2seq.random_sequence s2s.Seq2seq.config ~len:4));
+    ("decoder", Decoder.ir_module dec, Obj.tensor (Decoder.random_state dec.Decoder.config));
+    ("posenc", Posenc.ir_module pe, Obj.tensor (Posenc.random_input pe ~len:7));
+    ("bert", Bert.ir_module bert, Obj.tensor (Bert.embed bert (Bert.random_ids bert ~len:9)));
+  ]
+  @ List.map (fun (n, build) -> (n, build (), Obj.tensor (Vision.random_input ()))) Vision.all
+
+let test_compile_twice () =
+  List.iter
+    (fun (name, m, input) ->
+      let run () =
+        let exe, report = Nimble.compile_with_report m in
+        Alcotest.(check int) (name ^ ": no violations") 0 (List.length report.Nimble.verify_diags);
+        Obj.to_tensor (Interp.invoke (Nimble.vm exe) [ input ])
+      in
+      let first = run () in
+      Alcotest.(check bool) (name ^ ": second compile, equal output") true
+        (Tensor.equal first (run ())))
+    (zoo_cases ())
+
+(* compiling leaves the argument's function table as it was: same names,
+   same function values *)
+let test_argument_functions_kept () =
+  List.iter
+    (fun (name, m, _) ->
+      let before = Irmod.functions m in
+      ignore (Nimble.compile m);
+      let after = Irmod.functions m in
+      Alcotest.(check (list string)) (name ^ ": names") (List.map fst before) (List.map fst after);
+      Alcotest.(check bool) (name ^ ": same functions") true
+        (List.for_all2 (fun (_, f) (_, g) -> f == g) before after))
+    (zoo_cases ())
+
+let test_compile_static_twice () =
+  let m = static_module () in
+  let a = Tensor.randn rng [| 4; 5 |] and b = Tensor.randn rng [| 4; 5 |] in
+  List.iter
+    (fun label ->
+      let out = Nimble_compiler.Static_exec.run (Nimble.compile_static m) [ a; b ] in
+      Alcotest.check tensor_eq label (expected_static a b) out)
+    [ "first"; "second" ]
+
+(* --- programs with redundancy: duplicate, constant and dead code and
+   helper globals go through the pipeline as written and still compute
+   the right result with a clean verify report -------------------------- *)
+
+let run_clean m inputs =
+  let exe, report = Nimble.compile_with_report m in
+  Alcotest.(check int) "no violations" 0 (List.length report.Nimble.verify_diags);
+  Interp.run_tensors (Nimble.vm exe) inputs
+
+let test_duplicate_subtrees () =
+  let x = Expr.fresh_var ~ty:(static_ty [ 2 ]) "x" in
+  (* two structurally identical but physically distinct subtrees *)
+  let e =
+    Expr.op_call "add" [ Expr.op_call "relu" [ Expr.Var x ]; Expr.op_call "relu" [ Expr.Var x ] ]
+  in
+  let xv = Tensor.of_float_array [| 2 |] [| -1.5; 2.0 |] in
+  Alcotest.check tensor_eq "2 relu(x)"
+    (Tensor.of_float_array [| 2 |] [| 0.0; 4.0 |])
+    (run_clean (Irmod.of_main (Expr.fn_def [ x ] e)) [ xv ])
+
+let test_same_op_both_branches () =
+  let x = Expr.fresh_var ~ty:(static_ty [ 2 ]) "x" in
+  let c = Expr.fresh_var ~ty:Ty.bool_scalar "c" in
+  let relu () = Expr.op_call "relu" [ Expr.Var x ] in
+  let e = Expr.If (Expr.Var c, relu (), Expr.op_call "add" [ relu (); Expr.const_scalar 1.0 ]) in
+  let m = Irmod.of_main (Expr.fn_def [ x; c ] e) in
+  let xv = Tensor.of_float_array [| 2 |] [| -1.0; 3.0 |] in
+  let flag v = Tensor.scalar ~dtype:Dtype.U8 v in
+  Alcotest.check tensor_eq "then" (Tensor.of_float_array [| 2 |] [| 0.0; 3.0 |])
+    (run_clean m [ xv; flag 1.0 ]);
+  Alcotest.check tensor_eq "else" (Tensor.of_float_array [| 2 |] [| 1.0; 4.0 |])
+    (run_clean m [ xv; flag 0.0 ])
+
+let test_constant_arithmetic () =
+  let x = Expr.fresh_var ~ty:(static_ty [ 3 ]) "x" in
+  let five = Expr.op_call "add" [ Expr.const_scalar 2.0; Expr.const_scalar 3.0 ] in
+  let m = Irmod.of_main (Expr.fn_def [ x ] (Expr.op_call "multiply" [ Expr.Var x; five ])) in
+  let xv = Tensor.randn rng [| 3 |] in
+  Alcotest.check tensor_eq "5x" (Ops_elem.mul_scalar xv 5.0) (run_clean m [ xv ])
+
+let test_constant_condition () =
+  let x = Expr.fresh_var ~ty:(static_ty [ 3 ]) "x" in
+  let e =
+    Expr.If
+      ( Expr.Const (Tensor.scalar ~dtype:Dtype.U8 1.0),
+        Expr.op_call "add" [ Expr.Var x; Expr.const_scalar 10.0 ],
+        Expr.op_call "add" [ Expr.Var x; Expr.const_scalar 20.0 ] )
+  in
+  let xv = Tensor.randn rng [| 3 |] in
+  Alcotest.check tensor_eq "true branch" (Ops_elem.add xv (Tensor.full [| 3 |] 10.0))
+    (run_clean (Irmod.of_main (Expr.fn_def [ x ] e)) [ xv ])
+
+let test_dead_let_chain () =
+  let x = Expr.fresh_var ~ty:(static_ty [ 2 ]) "x" in
+  let a = Expr.fresh_var "a" and b = Expr.fresh_var "b" in
+  let e =
+    Expr.Let
+      ( a,
+        Expr.op_call "relu" [ Expr.Var x ],
+        Expr.Let (b, Expr.op_call "tanh" [ Expr.Var a ], Expr.op_call "negative" [ Expr.Var x ]) )
+  in
+  let xv = Tensor.randn rng [| 2 |] in
+  Alcotest.check tensor_eq "-x" (Ops_elem.mul_scalar xv (-1.0))
+    (run_clean (Irmod.of_main (Expr.fn_def [ x ] e)) [ xv ])
+
+(* a module carrying a recursive global that main never calls *)
+let test_unreachable_global () =
+  let m, _, _ = list_sum_module () in
+  let x = Expr.fresh_var ~ty:(static_ty [ 3 ]) "x" in
+  Irmod.add_func m "main" (Expr.fn_def [ x ] (Expr.op_call "tanh" [ Expr.Var x ]));
+  let xv = Tensor.randn rng [| 3 |] in
+  Alcotest.check tensor_eq "tanh" (Ops_elem.tanh xv) (run_clean m [ xv ])
+
+(* a 40-op helper called from two sites *)
+let test_long_helper () =
+  let m = Irmod.create () in
+  let a = Expr.fresh_var ~ty:(static_ty [ 4 ]) "a" in
+  let rec chain n e = if n = 0 then e else chain (n - 1) (Expr.op_call "add" [ e; Expr.const_scalar 0.5 ]) in
+  Irmod.add_func m "shift" (Expr.fn_def [ a ] (chain 40 (Expr.Var a)));
+  let x = Expr.fresh_var ~ty:(static_ty [ 4 ]) "x" in
+  Irmod.add_func m "main"
+    (Expr.fn_def [ x ]
+       (Expr.op_call "multiply"
+          [ Expr.call (Expr.Global "shift") [ Expr.Var x ]; Expr.call (Expr.Global "shift") [ Expr.Var x ] ]));
+  let xv = Tensor.randn rng [| 4 |] in
+  let shifted = Ops_elem.add xv (Tensor.full [| 4 |] 20.0) in
+  Alcotest.check tensor_eq "(x+20)^2" (Ops_elem.mul shifted shifted) (run_clean m [ xv ])
+
+(* a helper with let-bound locals whose two call sites feed each other *)
+let test_helper_locals () =
+  let m = Irmod.create () in
+  let a = Expr.fresh_var ~ty:(static_ty [ 4 ]) "a" in
+  let t = Expr.fresh_var "t" in
+  Irmod.add_func m "step"
+    (Expr.fn_def [ a ]
+       (Expr.Let (t, Expr.op_call "tanh" [ Expr.Var a ], Expr.op_call "add" [ Expr.Var t; Expr.Var a ])));
+  let x = Expr.fresh_var ~ty:(static_ty [ 4 ]) "x" in
+  Irmod.add_func m "main"
+    (Expr.fn_def [ x ]
+       (Expr.call (Expr.Global "step") [ Expr.call (Expr.Global "step") [ Expr.Var x ] ]));
+  let step v = Ops_elem.add (Ops_elem.tanh v) v in
+  let xv = Tensor.randn rng [| 4 |] in
+  Alcotest.check tensor_eq "step (step x)" (step (step xv)) (run_clean m [ xv ])
+
+(* --- executable validation ---------------------------------------------- *)
+let test_validate_accepts_compiled () =
+  let w = Nimble_models.Lstm.init_weights Nimble_models.Lstm.small_config in
+  let exe = Nimble.compile (Nimble_models.Lstm.ir_module w) in
+  Alcotest.(check (list string)) "clean" [] (Nimble_vm.Exe.validate exe)
+
+let bad_exe code ~regs =
+  Nimble_vm.Exe.create
+    ~funcs:[| { Nimble_vm.Exe.name = "main"; arity = 0; register_count = regs; code } |]
+    ~constants:[||] ~packed_names:[||]
+
+let test_validate_catches_bad_register () =
+  let exe = bad_exe ~regs:1 [| Nimble_vm.Isa.Move { src = 5; dst = 0 }; Nimble_vm.Isa.Ret { result = 0 } |] in
+  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+
+let test_validate_catches_bad_jump () =
+  let exe = bad_exe ~regs:1 [| Nimble_vm.Isa.Goto 99 |] in
+  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+
+let test_validate_catches_bad_const () =
+  let exe =
+    bad_exe ~regs:1
+      [| Nimble_vm.Isa.LoadConst { index = 3; dst = 0 }; Nimble_vm.Isa.Ret { result = 0 } |]
+  in
+  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+
+let test_validate_catches_fallthrough () =
+  let exe = bad_exe ~regs:1 [| Nimble_vm.Isa.Move { src = 0; dst = 0 } |] in
+  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+
+let test_validate_catches_arity_mismatch () =
+  let f0 =
+    {
+      Nimble_vm.Exe.name = "main";
+      arity = 0;
+      register_count = 2;
+      code =
+        [|
+          Nimble_vm.Isa.Invoke { func_index = 1; args = [| 0 |]; dst = 1 };
+          Nimble_vm.Isa.Ret { result = 1 };
+        |];
+    }
+  in
+  let f1 =
+    { Nimble_vm.Exe.name = "two"; arity = 2; register_count = 2; code = [| Nimble_vm.Isa.Ret { result = 0 } |] }
+  in
+  let exe = Nimble_vm.Exe.create ~funcs:[| f0; f1 |] ~constants:[||] ~packed_names:[||] in
+  Alcotest.(check bool) "flagged" true (Nimble_vm.Exe.validate exe <> [])
+
 let () =
   ignore obj_list_of_tensors;
   Alcotest.run "compiler"
@@ -227,5 +473,29 @@ let () =
           Alcotest.test_case "compile report" `Quick test_report;
           Alcotest.test_case "static executor" `Quick test_static_executor;
           Alcotest.test_case "closure capture" `Quick test_closure;
+          Alcotest.test_case "helper global (semantics preserved)" `Quick test_helper_global;
+          Alcotest.test_case "zoo compiles twice" `Quick test_compile_twice;
+          Alcotest.test_case "argument functions kept" `Quick test_argument_functions_kept;
+          Alcotest.test_case "compile_static twice" `Quick test_compile_static_twice;
+        ] );
+      ( "redundant programs",
+        [
+          Alcotest.test_case "duplicate subtrees" `Quick test_duplicate_subtrees;
+          Alcotest.test_case "same op in both branches" `Quick test_same_op_both_branches;
+          Alcotest.test_case "constant arithmetic" `Quick test_constant_arithmetic;
+          Alcotest.test_case "constant condition" `Quick test_constant_condition;
+          Alcotest.test_case "dead let chain" `Quick test_dead_let_chain;
+          Alcotest.test_case "unreachable recursive global" `Quick test_unreachable_global;
+          Alcotest.test_case "long helper, two call sites" `Quick test_long_helper;
+          Alcotest.test_case "helper with locals" `Quick test_helper_locals;
+        ] );
+      ( "validate",
+        [
+          Alcotest.test_case "compiled passes" `Quick test_validate_accepts_compiled;
+          Alcotest.test_case "bad register" `Quick test_validate_catches_bad_register;
+          Alcotest.test_case "bad jump" `Quick test_validate_catches_bad_jump;
+          Alcotest.test_case "bad constant" `Quick test_validate_catches_bad_const;
+          Alcotest.test_case "fallthrough" `Quick test_validate_catches_fallthrough;
+          Alcotest.test_case "arity mismatch" `Quick test_validate_catches_arity_mismatch;
         ] );
     ]

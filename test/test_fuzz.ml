@@ -161,8 +161,8 @@ let prop_serialization_roundtrip_runs =
       let rng = Rng.create ~seed in
       let cols = 2 + Rng.int rng 5 in
       let nodes = gen_graph rng ~cols ~length in
-      let m = build_module nodes ~rows:Dim.Any ~cols in
-      let exe = Nimble.compile m in
+      let ((m, _) as processed) = Nimble.optimize (build_module nodes ~rows:Dim.Any ~cols) in
+      let exe, _ = Nimble.emit processed in
       let loaded = Nimble_vm.Serialize.of_bytes (Nimble_vm.Serialize.to_bytes exe) in
       List.iter (Nimble_vm.Exe.link loaded) (Nimble_compiler.Emitter.link_table m);
       let input = Tensor.randn ~scale:0.5 rng [| 3; cols |] in

@@ -157,6 +157,22 @@ let test_module () =
   Alcotest.(check (list string)) "order stable" [ "f"; "main" ]
     (List.map fst (Irmod.functions m))
 
+let test_module_copy () =
+  let m = Irmod.create () in
+  let x = Expr.fresh_var ~ty:(Ty.tensor_of_shape [| 2 |]) "x" in
+  let f = Expr.fn_def [ x ] (Expr.Var x) in
+  Irmod.add_func m "f" f;
+  let c = Irmod.copy m in
+  Alcotest.(check bool) "bodies shared" true (Irmod.func_exn c "f" == f);
+  (* replacing and adding functions in the copy leaves the original as it was *)
+  Irmod.add_func c "f" (Expr.fn_def [] (Expr.const_scalar 1.0));
+  Irmod.add_func c "g" (Expr.fn_def [] (Expr.const_scalar 2.0));
+  Irmod.add_adt c (Adt.tensor_list ~elem_ty:(Ty.tensor_of_shape [| 2 |]));
+  Alcotest.(check (list string)) "copy order" [ "f"; "g" ] (List.map fst (Irmod.functions c));
+  Alcotest.(check (list string)) "original order" [ "f" ] (List.map fst (Irmod.functions m));
+  Alcotest.(check bool) "original f kept" true (Irmod.func_exn m "f" == f);
+  Alcotest.(check int) "original adts" 0 (List.length (Irmod.adts m))
+
 (* ---------------------------- op registry ---------------------------- *)
 
 let test_op_registry () =
@@ -211,6 +227,10 @@ let () =
           Alcotest.test_case "pretty print" `Quick test_pretty_printing_smoke;
         ] );
       ("adt", [ Alcotest.test_case "tags and lookup" `Quick test_adt_tags ]);
-      ("module", [ Alcotest.test_case "functions" `Quick test_module ]);
+      ( "module",
+        [
+          Alcotest.test_case "functions" `Quick test_module;
+          Alcotest.test_case "copy has own tables" `Quick test_module_copy;
+        ] );
       ("ops", [ Alcotest.test_case "registry" `Quick test_op_registry ]);
     ]

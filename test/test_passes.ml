@@ -1,6 +1,5 @@
-(* Pass tests: ANF (incl. DAG sharing), CSE, constant folding, DCE, fusion
-   (pattern lattice + dynamic policy), manifest alloc, memory planning,
-   device placement. *)
+(* Pass tests: ANF (incl. DAG sharing), fusion (pattern lattice + dynamic
+   policy), manifest alloc, memory planning, device placement. *)
 
 open Nimble_tensor
 open Nimble_ir
@@ -64,86 +63,6 @@ let test_anf_branch_scoping () =
      across the branch boundary — check no unbound variable by compiling
      through a var scan *)
   Alcotest.(check bool) "relu computed at least once" true (count_op "relu" anf >= 1)
-
-(* ---------------------------- CSE ---------------------------- *)
-
-let test_cse_dedupes () =
-  let x = Expr.fresh_var ~ty:(static_ty [ 2 ]) "x" in
-  (* two structurally identical but physically distinct subtrees *)
-  let e =
-    Expr.op_call "add"
-      [ Expr.op_call "relu" [ Expr.Var x ]; Expr.op_call "relu" [ Expr.Var x ] ]
-  in
-  let m = Irmod.of_main (Expr.fn_def [ x ] e) in
-  let m = Anf.run m in
-  let m = Cse.run m in
-  let m = Dce.run m in
-  let fn = Irmod.func_exn m "main" in
-  Alcotest.(check int) "one relu" 1 (count_op "relu" fn.Expr.body)
-
-let test_cse_respects_branches () =
-  let x = Expr.fresh_var ~ty:(static_ty [ 2 ]) "x" in
-  let c = Expr.fresh_var ~ty:Ty.bool_scalar "c" in
-  let relu () = Expr.op_call "relu" [ Expr.Var x ] in
-  let e = Expr.If (Expr.Var c, relu (), relu ()) in
-  let m = Irmod.of_main (Expr.fn_def [ x; c ] e) in
-  let m = Anf.run m in
-  let m = Cse.run m in
-  let fn = Irmod.func_exn m "main" in
-  (* each branch keeps its own copy: CSE must not move either out *)
-  Alcotest.(check int) "two relus (one per branch)" 2 (count_op "relu" fn.Expr.body)
-
-(* ---------------------------- const fold ---------------------------- *)
-
-let test_const_fold () =
-  let e = Expr.op_call "add" [ Expr.const_scalar 2.0; Expr.const_scalar 3.0 ] in
-  match Const_fold.fold_expr e with
-  | Expr.Const t -> Alcotest.(check (float 0.0)) "folded" 5.0 (Tensor.item t)
-  | other -> Alcotest.failf "not folded: %a" Expr.pp other
-
-let test_const_fold_if () =
-  let e =
-    Expr.If
-      ( Expr.Const (Tensor.scalar 1.0),
-        Expr.const_scalar 10.0,
-        Expr.const_scalar 20.0 )
-  in
-  match Const_fold.fold_expr e with
-  | Expr.Const t -> Alcotest.(check (float 0.0)) "true branch" 10.0 (Tensor.item t)
-  | other -> Alcotest.failf "not folded: %a" Expr.pp other
-
-let test_const_fold_skips_effectful () =
-  let x = Expr.fresh_var "x" in
-  let e =
-    Expr.Let
-      (x, Expr.op_call "memory.kill" [ Expr.const_scalar 0.0 ], Expr.const_scalar 1.0)
-  in
-  let folded = Const_fold.fold_expr e in
-  Alcotest.(check int) "kill preserved" 1 (count_op "memory.kill" folded)
-
-(* ---------------------------- DCE ---------------------------- *)
-
-let test_dce_removes_dead_chain () =
-  let x = Expr.fresh_var ~ty:(static_ty [ 2 ]) "x" in
-  let a = Expr.fresh_var "a" and b = Expr.fresh_var "b" in
-  let e =
-    Expr.Let
-      ( a,
-        Expr.op_call "relu" [ Expr.Var x ],
-        Expr.Let (b, Expr.op_call "tanh" [ Expr.Var a ], Expr.Var x) )
-  in
-  let swept = Dce.fix e in
-  Alcotest.(check int) "all dead removed" 0 (count_lets swept)
-
-let test_dce_keeps_effects () =
-  let u = Expr.fresh_var "u" in
-  let e =
-    Expr.Let
-      ( u,
-        Expr.op_call "memory.invoke_mut" [ Expr.const_scalar 0.0 ],
-        Expr.const_scalar 1.0 )
-  in
-  Alcotest.(check int) "invoke_mut kept" 1 (count_lets (Dce.fix e))
 
 (* ---------------------------- fusion ---------------------------- *)
 
@@ -361,22 +280,6 @@ let () =
           Alcotest.test_case "dag sharing" `Quick test_anf_dag_sharing;
           Alcotest.test_case "no exponential blowup" `Quick test_anf_no_exponential_blowup;
           Alcotest.test_case "branch scoping" `Quick test_anf_branch_scoping;
-        ] );
-      ( "cse",
-        [
-          Alcotest.test_case "dedupes" `Quick test_cse_dedupes;
-          Alcotest.test_case "branch isolation" `Quick test_cse_respects_branches;
-        ] );
-      ( "const_fold",
-        [
-          Alcotest.test_case "folds arithmetic" `Quick test_const_fold;
-          Alcotest.test_case "folds if" `Quick test_const_fold_if;
-          Alcotest.test_case "skips effectful" `Quick test_const_fold_skips_effectful;
-        ] );
-      ( "dce",
-        [
-          Alcotest.test_case "removes dead chains" `Quick test_dce_removes_dead_chain;
-          Alcotest.test_case "keeps effects" `Quick test_dce_keeps_effects;
         ] );
       ( "fusion",
         [

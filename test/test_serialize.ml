@@ -110,8 +110,8 @@ let test_compiled_module_roundtrip_and_run () =
   let x = Expr.fresh_var ~ty:(Ty.tensor [ Dim.Any; Dim.static 6 ]) "x" in
   let w = Tensor.randn rng [| 4; 6 |] in
   let body = Expr.op_call "relu" [ Expr.op_call "dense" [ Expr.Var x; Expr.Const w ] ] in
-  let m = Irmod.of_main (Expr.fn_def [ x ] body) in
-  let exe = Nimble.compile m in
+  let ((m, _) as processed) = Nimble.optimize (Irmod.of_main (Expr.fn_def [ x ] body)) in
+  let exe, _ = Nimble.emit processed in
   let loaded = roundtrip exe in
   List.iter (Exe.link loaded) (Nimble_compiler.Emitter.link_table m);
   let input = Tensor.randn rng [| 5; 6 |] in

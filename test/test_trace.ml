@@ -159,15 +159,14 @@ let test_profiler_report_json () =
 
 let test_compile_report () =
   let _, _, (creport : Nimble.report) = traced_lstm_run ~seq:3 in
-  Alcotest.(check bool) "pipeline has passes" true (List.length creport.Nimble.passes >= 10);
+  Alcotest.(check (list string)) "each pass once, pipeline order"
+    [
+      "anf"; "infer"; "type_resolve"; "classify"; "fusion"; "manifest_alloc";
+      "device_place"; "memory_plan"; "compact_regs";
+    ]
+    (List.map (fun (p : Nimble.pass_stat) -> p.Nimble.pass_name) creport.Nimble.passes);
   List.iter
     (fun (p : Nimble.pass_stat) ->
-      if p.Nimble.pass_name = "dce" then
-        Alcotest.(check bool)
-          (Fmt.str "dce shrinks or keeps IR (%d -> %d)" p.Nimble.nodes_before
-             p.Nimble.nodes_after)
-          true
-          (p.Nimble.nodes_after <= p.Nimble.nodes_before);
       Alcotest.(check bool) "pass time is non-negative" true (p.Nimble.pass_seconds >= 0.0);
       Alcotest.(check bool) "IR sizes positive" true
         (p.Nimble.nodes_before > 0 && p.Nimble.nodes_after > 0))
